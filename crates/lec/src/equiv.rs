@@ -77,6 +77,9 @@ pub fn check_datapath(
         if pending.is_empty() {
             return Ok(None);
         }
+        // One simulator pass carries 64 lanes; more would be dropped
+        // by `PortValues::pack` and read back from out-of-range lanes.
+        assert!(pending.len() <= 64, "check_batch: {} vectors exceed 64 lanes", pending.len());
         let a_vals: Vec<u64> = pending.iter().map(|t| t.0).collect();
         let b_vals: Vec<u64> = pending.iter().map(|t| t.1).collect();
         let mut stim = vec![PortValues::pack(&a_vals, bits), PortValues::pack(&b_vals, bits)];
@@ -132,6 +135,11 @@ pub fn check_datapath(
                     }
                 }
             }
+        }
+        // Flush the corners' partial batch so every random batch
+        // starts empty and fills exactly 64 lanes.
+        if cex.is_none() {
+            cex = check_batch(&mut pending, &mut vectors)?;
         }
         if cex.is_none() {
             const RANDOM_BATCHES: usize = 4096; // ≈ 2^18 vectors
@@ -236,6 +244,54 @@ mod tests {
         let reimported = from_verilog(&to_verilog(&quad)).unwrap();
         let r = check_datapath(&reimported, 6, PpgKind::And).unwrap();
         assert!(r.equivalent, "{:?}", r.counterexample);
+    }
+
+    /// Above `EXHAUSTIVE_BITS` the corner vectors leave a partial
+    /// batch (900 corners at 12 bits, 1444 at 16); the random batches
+    /// must not be appended to it, or lanes past 63 are lost and the
+    /// correct designs below read as mismatches.
+    #[test]
+    fn sampled_widths_accept_correct_designs() {
+        for bits in [12, 16] {
+            for kind in [PpgKind::And, PpgKind::Mbe] {
+                for dadda in [false, true] {
+                    let tree = if dadda {
+                        CompressorTree::dadda(bits, kind).unwrap()
+                    } else {
+                        CompressorTree::wallace(bits, kind).unwrap()
+                    };
+                    let m = MultiplierNetlist::elaborate(&tree).unwrap();
+                    let r = check_datapath(m.netlist(), bits, kind).unwrap();
+                    assert!(!r.exhaustive);
+                    assert!(
+                        r.equivalent,
+                        "{bits}-bit {kind} dadda={dadda}: {:?}",
+                        r.counterexample
+                    );
+                    assert!(r.vectors > 4096 * 64, "{bits}-bit {kind}: {} vectors", r.vectors);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_width_still_refutes_a_mutation() {
+        use rlmul_rtl::{mutate, GateKind};
+        let kind = PpgKind::And;
+        let tree = CompressorTree::dadda(16, kind).unwrap();
+        let good = MultiplierNetlist::elaborate(&tree).unwrap().into_netlist();
+        // Cross a compressor input with a primary-input net, and drop a
+        // carry wire: both change the product on many inputs.
+        let fa = mutate::find_gate(&good, GateKind::FullAdder).expect("full adder present");
+        let crossed = mutate::replace_gate_input(&good, fa, 0, good.inputs()[0].bits[0]);
+        let dropped = mutate::drop_carry_wire(&good).expect("multiplier has carries");
+        for (label, netlist) in [("crossed input", &crossed), ("dropped carry", &dropped)] {
+            let r = check_datapath(netlist, 16, kind).unwrap();
+            assert!(!r.equivalent, "{label}: defect not refuted");
+            let cex = r.counterexample.expect("refutation carries a counterexample");
+            assert_eq!(cex.expected, golden(cex.a, cex.b, cex.c, 16), "{label}: {cex:?}");
+            assert_ne!(cex.got, cex.expected, "{label}: {cex:?}");
+        }
     }
 
     #[test]

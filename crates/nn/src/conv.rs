@@ -5,6 +5,7 @@ use crate::gemm;
 use crate::im2col::{col2im, im2col};
 use crate::layer::{Layer, Param};
 use crate::stats::{self, Op};
+use crate::sums::{for_channel_groups, group_sums};
 use crate::tensor::Tensor;
 use rand::Rng;
 use std::time::Instant;
@@ -13,13 +14,12 @@ use std::time::Instant;
 ///
 /// Forward expands each sample into a `[in_c·k², oh·ow]` patch matrix
 /// (scratch buffer reused across steps) and runs one
-/// [`gemm::gemm_nn`] per sample; backward likewise reduces to one
-/// [`gemm::gemm_nt`] (weight gradient) and one [`gemm::gemm_tn`] +
-/// [`col2im`] (input gradient) per sample. Large batches fan the
-/// per-sample work out over scoped threads following the same policy
-/// as the GEMM row blocks; debug builds replay every call through the
-/// retained naive kernels in [`crate::reference`] and assert
-/// near-equality.
+/// [`gemm::gemm_tn`] per sample against the transposed weight;
+/// backward likewise reduces to one [`gemm::gemm_nt`] (weight
+/// gradient) and one [`gemm::gemm_tn`] + [`col2im`] (input gradient)
+/// per sample. Samples run one after another on the calling thread.
+/// Debug builds replay every call through the retained naive kernels
+/// in [`crate::reference`] and assert near-equality.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -34,6 +34,8 @@ pub struct Conv2d {
     cols: Vec<f32>,
     /// Column-space gradient scratch of the same size.
     dcols: Vec<f32>,
+    /// The weight transposed to `[in_c·k², out_c]`, rebuilt per forward.
+    wt: Vec<f32>,
 }
 
 impl Conv2d {
@@ -59,6 +61,7 @@ impl Conv2d {
             cached_input: None,
             cols: Vec::new(),
             dcols: Vec::new(),
+            wt: Vec::new(),
         }
     }
 
@@ -85,57 +88,27 @@ impl Conv2d {
         assert_eq!(c, self.in_c, "Conv2d input channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
         let (ickk, ohow) = (self.in_c * self.k * self.k, oh * ow);
-        let sample_in = c * h * w;
-        let sample_out = self.out_c * ohow;
         let mut y = Tensor::zeros(&[n, self.out_c, oh, ow]);
-        let wt = self.weight.value.data();
         let bs = self.bias.value.data();
         let xd = x.data();
 
-        let run_sample = |xs: &[f32], ys: &mut [f32], cols: &mut Vec<f32>| {
-            cols.resize(ickk * ohow, 0.0);
-            im2col(xs, c, h, w, self.k, self.stride, self.pad, oh, ow, cols);
-            for (oc, row) in ys.chunks_exact_mut(ohow).enumerate() {
-                row.fill(bs[oc]);
+        gemm::transpose_into(self.weight.value.data(), self.out_c, ickk, &mut self.wt);
+        self.cols.resize(ickk * ohow, 0.0);
+        let samples =
+            xd.chunks_exact(c * h * w).zip(y.data_mut().chunks_exact_mut(self.out_c * ohow));
+        for (xs, ys) in samples {
+            im2col(xs, c, h, w, self.k, self.stride, self.pad, oh, ow, &mut self.cols);
+            for (row, &b) in ys.chunks_exact_mut(ohow).zip(bs) {
+                row.fill(b);
             }
-            // Per-sample GEMMs are small; keep them serial and put
-            // the parallelism at the batch level instead.
-            gemm::gemm_nn_threads(wt, cols, ys, self.out_c, ickk, ohow, 1);
-        };
-
-        let flops = 2 * n as u64 * (self.out_c * ohow * ickk) as u64;
-        let threads = gemm::worker_count(flops as usize, n);
-        if threads > 1 {
-            // Batch-level fan-out: each worker takes a contiguous
-            // sample block with its own scratch. Outputs are disjoint
-            // and per-sample arithmetic is identical to the serial
-            // path, so the result does not depend on the split.
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, yblock) in y.data_mut().chunks_mut(chunk * sample_out).enumerate() {
-                    let run_sample = &run_sample;
-                    let xblock = &xd[t * chunk * sample_in..];
-                    scope.spawn(move || {
-                        let mut cols = Vec::new();
-                        for (s, ys) in yblock.chunks_exact_mut(sample_out).enumerate() {
-                            run_sample(&xblock[s * sample_in..(s + 1) * sample_in], ys, &mut cols);
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut cols = std::mem::take(&mut self.cols);
-            for (ni, ys) in y.data_mut().chunks_exact_mut(sample_out).enumerate() {
-                run_sample(&xd[ni * sample_in..(ni + 1) * sample_in], ys, &mut cols);
-            }
-            self.cols = cols;
+            gemm::gemm_tn(&self.wt, &self.cols, ys, self.out_c, ickk, ohow);
         }
 
         #[cfg(debug_assertions)]
         {
             let naive = crate::reference::conv2d_forward(
                 xd,
-                wt,
+                self.weight.value.data(),
                 bs,
                 n,
                 self.in_c,
@@ -148,6 +121,7 @@ impl Conv2d {
             );
             crate::reference::assert_close("Conv2d::forward", y.data(), &naive);
         }
+        let flops = 2 * n as u64 * (self.out_c * ohow * ickk) as u64;
         stats::record(Op::ConvForward, flops, t0.elapsed());
         y
     }
@@ -157,7 +131,13 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = self.forward_impl(x);
         if train {
-            self.cached_input = Some(x.clone());
+            // Reuse the previous cached input's buffer when it fits.
+            match &mut self.cached_input {
+                Some(cached) if cached.shape() == x.shape() => {
+                    cached.data_mut().copy_from_slice(x.data());
+                }
+                cached => *cached = Some(x.clone()),
+            }
         }
         y
     }
@@ -186,46 +166,37 @@ impl Layer for Conv2d {
         let (dw_before, db_before) =
             (self.weight.grad.data().to_vec(), self.bias.grad.data().to_vec());
 
-        // db: per-channel sums of the output gradient.
+        // db: per-channel sums of the output gradient, each the
+        // sequential fold `Iterator::sum` performs (same start value,
+        // same order), added per sample.
         {
             let db = self.bias.grad.data_mut();
+            let start = std::iter::empty::<f32>().sum::<f32>();
+            let dims = (1, self.out_c, ohow);
             for gs in gd.chunks_exact(sample_out) {
-                for (oc, grow) in gs.chunks_exact(ohow).enumerate() {
-                    db[oc] += grow.iter().sum::<f32>();
-                }
+                for_channel_groups!(self.out_c, |oc, G| {
+                    let [s] = group_sums::<G, 1, 1>([gs], dims, oc, start, |_, [v]| [v]);
+                    for (d, s) in db[oc..oc + G].iter_mut().zip(s) {
+                        *d += s;
+                    }
+                });
             }
         }
 
         let wt = self.weight.value.data();
         let dw = self.weight.grad.data_mut();
-        let mut cols = std::mem::take(&mut self.cols);
-        let mut dcols = std::mem::take(&mut self.dcols);
-        cols.resize(ickk * ohow, 0.0);
-        dcols.resize(ickk * ohow, 0.0);
-        for ni in 0..n {
-            let xs = &xd[ni * sample_in..(ni + 1) * sample_in];
-            let gs = &gd[ni * sample_out..(ni + 1) * sample_out];
-            im2col(xs, self.in_c, h, w, self.k, self.stride, self.pad, oh, ow, &mut cols);
+        self.cols.resize(ickk * ohow, 0.0);
+        self.dcols.resize(ickk * ohow, 0.0);
+        let samples = xd.chunks_exact(sample_in).zip(gd.chunks_exact(sample_out));
+        for ((xs, gs), dxs) in samples.zip(dx.data_mut().chunks_exact_mut(sample_in)) {
+            im2col(xs, self.in_c, h, w, self.k, self.stride, self.pad, oh, ow, &mut self.cols);
             // dW += g·colsᵀ.
-            gemm::gemm_nt(gs, &cols, dw, self.out_c, ohow, ickk);
+            gemm::gemm_nt(gs, &self.cols, dw, self.out_c, ohow, ickk);
             // dx (column space) = Wᵀ·g, scattered back by col2im.
-            dcols.fill(0.0);
-            gemm::gemm_tn(wt, gs, &mut dcols, ickk, self.out_c, ohow);
-            col2im(
-                &dcols,
-                self.in_c,
-                h,
-                w,
-                self.k,
-                self.stride,
-                self.pad,
-                oh,
-                ow,
-                &mut dx.data_mut()[ni * sample_in..(ni + 1) * sample_in],
-            );
+            self.dcols.fill(0.0);
+            gemm::gemm_tn(wt, gs, &mut self.dcols, ickk, self.out_c, ohow);
+            col2im(&self.dcols, self.in_c, h, w, self.k, self.stride, self.pad, oh, ow, dxs);
         }
-        self.cols = cols;
-        self.dcols = dcols;
 
         #[cfg(debug_assertions)]
         {
@@ -338,6 +309,31 @@ mod tests {
         conv.forward(&Tensor::kaiming(&[5, 1, 4, 4], 4, &mut rng), false);
         let dx = conv.backward(&y);
         assert_eq!(dx.shape(), x_train.shape());
+    }
+
+    #[test]
+    fn bias_gradient_has_the_bits_of_iterator_sum() {
+        // Nine channels: one interleaved group of eight plus a tail.
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut conv = Conv2d::new(1, 9, 1, 1, 0, &mut rng);
+        let x = Tensor::kaiming(&[2, 1, 2, 3], 4, &mut rng);
+        conv.forward(&x, true);
+        let mut g = Tensor::kaiming(&[2, 9, 2, 3], 4, &mut rng);
+        // An all -0.0 channel on a -0.0 gradient: only the fold's own
+        // start value decides the sign of the result.
+        for s in 0..2 {
+            g.data_mut()[s * 54..s * 54 + 6].fill(-0.0);
+        }
+        conv.bias.grad.data_mut().fill(-0.0);
+        conv.backward(&g);
+        let want: Vec<u32> = (0..9)
+            .map(|oc| {
+                let maps = g.data().chunks_exact(54).map(|gs| &gs[oc * 6..(oc + 1) * 6]);
+                maps.fold(-0.0f32, |db, map| db + map.iter().sum::<f32>()).to_bits()
+            })
+            .collect();
+        let got: Vec<u32> = conv.bias.grad.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

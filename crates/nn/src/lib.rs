@@ -39,6 +39,7 @@ mod pool;
 pub mod reference;
 mod resnet;
 mod stats;
+mod sums;
 mod tensor;
 mod testutil;
 

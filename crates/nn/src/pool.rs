@@ -43,15 +43,9 @@ impl Layer for GlobalAvgPool {
         );
         let mut dx = Tensor::zeros(&self.cached_shape);
         let scale = 1.0 / (h * w) as f32;
-        for ni in 0..n {
-            for ch in 0..c {
-                let g = grad_out.data()[ni * c + ch] * scale;
-                for hy in 0..h {
-                    for wx in 0..w {
-                        *dx.at4_mut(ni, ch, hy, wx) = g;
-                    }
-                }
-            }
+        assert_eq!(grad_out.len(), n * c, "GlobalAvgPool: gradient shape mismatch");
+        for (map, &g) in dx.data_mut().chunks_exact_mut(h * w).zip(grad_out.data()) {
+            map.fill(g * scale);
         }
         dx
     }

@@ -62,14 +62,13 @@ impl Layer for ResidualBlock {
         main = self.relu1.forward_owned(main, train);
         main = self.conv2.forward_owned(main, train);
         main = self.bn2.forward_owned(main, train);
-        let skip = match &mut self.downsample {
+        match &mut self.downsample {
             Some((conv, bn)) => {
                 let s = conv.forward(x, train);
-                bn.forward_owned(s, train)
+                main.add_assign(&bn.forward_owned(s, train));
             }
-            None => x.clone(),
-        };
-        main.add_assign(&skip);
+            None => main.add_assign(x),
+        }
         self.relu_out.forward_owned(main, train)
     }
 

@@ -1,12 +1,15 @@
 //! Property tests pinning the optimized GEMM/im2col kernels to the
 //! retained naive reference across random shapes, strides and
-//! paddings. These run in release CI too, where the per-call debug
+//! paddings, and bit for bit to the order oracle
+//! (`reference::order`) that fixes each element's sequence of float
+//! operations. These run in release CI too, where the per-call debug
 //! oracle assertions inside the layers are compiled out.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlmul_nn::{gemm, im2col, reference, Conv2d, Layer, Linear, Tensor};
+use rlmul_nn::reference::order;
+use rlmul_nn::{gemm, im2col, reference, BatchNorm2d, Conv2d, Layer, Linear, Tensor};
 
 fn fill(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
@@ -154,4 +157,110 @@ proptest! {
             "adjoint identity violated: {lhs} vs {rhs}"
         );
     }
+
+    #[test]
+    fn gemm_variants_are_bit_identical_to_the_order_oracle(
+        dims in (1usize..19, 1usize..41, 1usize..27),
+        seed in 0u64..1 << 32,
+    ) {
+        // Row tails (m % 4, m % 8), column tails (n % 8, n % 4), k = 1
+        // and k % 8 != 0 all occur in these ranges.
+        let (m, k, n) = dims;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = fill(&mut rng, m * k);
+        let b = fill(&mut rng, k * n);
+        let c0 = fill(&mut rng, m * n);
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let pairs: [(&str, Kernel, Kernel); 3] = [
+            ("nn", gemm::gemm_nn, order::gemm_nn),
+            ("nt", gemm::gemm_nt, order::gemm_nt),
+            ("tn", gemm::gemm_tn, order::gemm_tn),
+        ];
+        for (name, fast, oracle) in pairs {
+            let mut got = c0.clone();
+            fast(&a, &b, &mut got, m, k, n);
+            let mut want = c0.clone();
+            oracle(&a, &b, &mut want, m, k, n);
+            prop_assert_eq!(bits(&got), bits(&want), "gemm_{} {}x{}x{}", name, m, k, n);
+        }
+    }
+
+    #[test]
+    fn col2im_is_bit_identical_to_the_order_oracle(
+        geom in (1usize..4, 1usize..5),
+        hw in (1usize..9, 1usize..9),
+        sp in (1usize..3, 0usize..3),
+        seed in 0u64..1 << 32,
+    ) {
+        let (c, k) = geom;
+        let (mut h, mut w) = hw;
+        let (stride, pad) = sp;
+        h = h.max(k.saturating_sub(2 * pad));
+        w = w.max(k.saturating_sub(2 * pad));
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let ow = (w + 2 * pad - k) / stride + 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = fill(&mut rng, c * k * k * oh * ow);
+        let dx0 = fill(&mut rng, c * h * w);
+        let mut got = dx0.clone();
+        im2col::col2im(&g, c, h, w, k, stride, pad, oh, ow, &mut got);
+        let mut want = dx0;
+        order::col2im(&g, c, h, w, k, stride, pad, oh, ow, &mut want);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn batch_norm_is_bit_identical_to_the_order_oracle(
+        dims in (1usize..5, 1usize..20, 1usize..6, 1usize..6),
+        seed in 0u64..1 << 32,
+    ) {
+        // Channel counts cover full interleave groups of 8 plus tails.
+        let (n, c, h, w) = dims;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bn = BatchNorm2d::new(c);
+        let gamma = fill(&mut rng, c);
+        let beta = fill(&mut rng, c);
+        let mut values = [&gamma, &beta].into_iter();
+        bn.visit_params(&mut |p| p.value.data_mut().copy_from_slice(values.next().unwrap()));
+        let x = fill(&mut rng, n * c * h * w);
+        let dy = fill(&mut rng, n * c * h * w);
+        let shape = [n, c, h, w];
+        let eps = 1e-5;
+
+        let y = bn.forward(&Tensor::from_vec(&shape, x.clone()), true);
+        let want = order::batch_norm_train(&x, &gamma, &beta, (n, c, h * w), eps);
+        prop_assert_eq!(bits(y.data()), bits(&want.y));
+        let mut state = Vec::new();
+        bn.visit_state(&mut |s| state.push(s.clone()));
+        // Momentum 0.1 from the initial running statistics (0, 1).
+        let running_mean: Vec<f32> =
+            want.mean.iter().map(|m| (1.0f32 - 0.1) * 0.0 + 0.1 * m).collect();
+        let running_var: Vec<f32> =
+            want.var.iter().map(|v| (1.0f32 - 0.1) * 1.0 + 0.1 * v).collect();
+        prop_assert_eq!(bits(&state[0]), bits(&running_mean));
+        prop_assert_eq!(bits(&state[1]), bits(&running_var));
+
+        // An evaluation forward in between must not disturb backward.
+        let eval = bn.forward(&Tensor::from_vec(&shape, dy.clone()), false);
+        let want_eval = order::batch_norm_eval(
+            &dy, &gamma, &beta, (&state[0], &state[1]), (c, h * w), eps,
+        );
+        prop_assert_eq!(bits(eval.data()), bits(&want_eval));
+
+        let dx = bn.backward(&Tensor::from_vec(&shape, dy.clone()));
+        let (mut dgamma, mut dbeta) = (vec![0.0; c], vec![0.0; c]);
+        let want_dx = order::batch_norm_backward(
+            &dy, &want.x_hat, &want.inv_std, &gamma, &mut dgamma, &mut dbeta, (n, c, h * w),
+        );
+        prop_assert_eq!(bits(dx.data()), bits(&want_dx));
+        let mut grads = Vec::new();
+        bn.visit_params(&mut |p| grads.push(p.grad.data().to_vec()));
+        prop_assert_eq!(bits(&grads[0]), bits(&dgamma));
+        prop_assert_eq!(bits(&grads[1]), bits(&dbeta));
+    }
+}
+
+/// f32 bit patterns, so signed zeros and NaN payloads compare exactly.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
