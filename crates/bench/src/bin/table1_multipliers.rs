@@ -5,7 +5,7 @@
 //! Budgets are scaled down from the paper's 10 000 s of training;
 //! raise `--steps` for tighter results. `--bits 8` / `--kind and`
 //! restrict the configuration set. `--telemetry PATH` streams a
-//! JSONL event log of every search method's episodes and phase
+//! JSONL event log of every search method's episodes and span
 //! timings (summarize with `rlmul report PATH`).
 
 use rlmul_bench::args::Args;
@@ -29,6 +29,9 @@ fn main() {
         (None, TelemetrySink::disabled())
     } else {
         let (w, s) = TelemetryWriter::create(&telemetry_path).expect("telemetry file opens");
+        // Phase timings reach the log as `span` events, which only a
+        // recording registry produces.
+        rlmul_obs::global().enable();
         (Some(w), s)
     };
 

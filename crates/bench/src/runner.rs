@@ -147,7 +147,7 @@ pub fn optimize_with_cache(
 
 /// [`optimize_with_cache`] with a telemetry sink threaded into the
 /// search method's training hooks, so harness runs emit the same
-/// per-episode/per-phase JSONL stream as `rlmul train --telemetry`.
+/// per-episode and per-span JSONL stream as `rlmul train --telemetry`.
 /// The fixed methods (Wallace, GOMIL) construct a single tree and
 /// emit nothing.
 ///

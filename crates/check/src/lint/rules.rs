@@ -12,7 +12,7 @@ use super::Finding;
 /// `wall-clock`: no `Instant`/`SystemTime` in determinism-critical
 /// code. A wall-clock read that influences control flow or serialized
 /// state breaks bit-identical resume; reads that only feed timing
-/// *stats* (obs histograms, telemetry phase events) are classified as
+/// *stats* (obs histograms, benchmark timers) are classified as
 /// allowed at the use site.
 pub const WALL_CLOCK: &str = "wall-clock";
 

@@ -71,6 +71,14 @@ fn bench_disabled_paths(c: &mut Criterion) {
             x
         })
     });
+    g.bench_function("gated_span_into_open_close", |b| {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        b.iter(|| {
+            x = workload(black_box(x));
+            let _span = gated.span_into("bench", &gated_histo);
+            x
+        })
+    });
     let trace = TraceCtx::disabled();
     g.bench_function("disabled_trace_emit", |b| {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -143,11 +151,11 @@ fn median_ns_per_iter<F: FnMut() -> u64>(mut f: F, rounds: usize, iters: u64) ->
 }
 
 /// The CI guard: gated-off instrumentation (counter + histogram +
-/// span on every iteration) must stay within noise of none. The bound
-/// is deliberately loose — a disabled op is one relaxed load and a
-/// branch, so a real regression (taking a lock, reading the clock)
-/// overshoots it by an order of magnitude, while scheduler noise on a
-/// shared CI runner does not.
+/// span + histogram-feeding span on every iteration) must stay within
+/// noise of none. The bound is deliberately loose — a disabled op is
+/// one relaxed load and a branch, so a real regression (taking a lock,
+/// reading the clock) overshoots it by an order of magnitude, while
+/// scheduler noise on a shared CI runner does not.
 fn overhead_guard() {
     const ROUNDS: usize = 15;
     const ITERS: u64 = 400_000;
@@ -173,6 +181,7 @@ fn overhead_guard() {
             histo.observe(y as f64);
             trace.emit("guard", "step");
             let _span = gated.span("guard");
+            let _phase = gated.span_into("guard_phase", &histo);
             y
         },
         ROUNDS,

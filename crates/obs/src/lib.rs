@@ -12,7 +12,8 @@
 //!   instrumentation stays in hot paths unconditionally.
 //! * [`Registry::span`] — RAII span guards nesting per thread,
 //!   accumulating inclusive/exclusive wall time per root-to-leaf
-//!   span path.
+//!   span path; [`Registry::span_into`] also feeds the span's
+//!   seconds into a latency histogram.
 //! * [`serve_metrics`] — `GET /metrics` in Prometheus text
 //!   exposition format (`rlmul train --metrics-addr 127.0.0.1:9090`).
 //! * [`collapsed_stacks`] — span paths as collapsed-stack lines

@@ -13,13 +13,18 @@
 //! [`crate::Registry::span_stats`] reads the table and
 //! [`crate::collapsed_stacks`] renders it as flamegraph input.
 //!
+//! [`Registry::span_into`] opens the same guard and, at close, also
+//! observes the span's inclusive seconds into a pre-registered
+//! histogram, so one guard feeds both the span tree and a latency
+//! histogram without a second clock read.
+//!
 //! Cost model: opening a span on a disabled registry is one branch
 //! (plus one relaxed load on a gated one) — no clock is read. An
 //! enabled span reads the clock twice and takes one short mutex at
 //! drop to fold into the path table; use spans at step/phase
 //! granularity, counters and histograms inside tight loops.
 
-use crate::registry::{Registry, RegistryInner};
+use crate::registry::{Histo, Registry, RegistryInner};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -43,6 +48,8 @@ thread_local! {
 pub struct SpanGuard {
     /// `Some` only when the span actually pushed a frame.
     registry: Option<Arc<RegistryInner>>,
+    /// Histogram that also receives the inclusive seconds at close.
+    into: Option<Histo>,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -52,16 +59,28 @@ impl Registry {
     /// children. A disabled or gated-off registry returns an inert
     /// guard without reading the clock.
     pub fn span(&self, name: &'static str) -> SpanGuard {
+        self.open_span(name, None)
+    }
+
+    /// [`Registry::span`] that, when it closes, also observes its
+    /// inclusive seconds into `histo` (a handle registered once
+    /// beforehand). Gated off, it is the same inert guard as a plain
+    /// span: one branch, no clock read, no observation.
+    pub fn span_into(&self, name: &'static str, histo: &Histo) -> SpanGuard {
+        self.open_span(name, Some(histo))
+    }
+
+    fn open_span(&self, name: &'static str, into: Option<&Histo>) -> SpanGuard {
         let Some(inner) = self.inner() else {
-            return SpanGuard { registry: None, _not_send: PhantomData };
+            return SpanGuard { registry: None, into: None, _not_send: PhantomData };
         };
         if !inner.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { registry: None, _not_send: PhantomData };
+            return SpanGuard { registry: None, into: None, _not_send: PhantomData };
         }
         STACK.with(|stack| {
             stack.borrow_mut().push(Frame { name, start: Instant::now(), child_ns: 0 });
         });
-        SpanGuard { registry: Some(inner.clone()), _not_send: PhantomData }
+        SpanGuard { registry: Some(inner.clone()), into: into.cloned(), _not_send: PhantomData }
     }
 }
 
@@ -87,6 +106,9 @@ impl Drop for SpanGuard {
             Some(done) => done,
             None => return,
         };
+        if let Some(histo) = &self.into {
+            histo.observe(incl_ns as f64 / 1e9);
+        }
         let mut spans = registry.spans.lock().expect("span table poisoned");
         let slot = spans.entry(path).or_insert((0, 0, 0));
         slot.0 += 1;
@@ -157,6 +179,29 @@ mod tests {
             let _g = d.span("never");
         }
         assert!(d.span_stats().is_empty());
+    }
+
+    #[test]
+    fn span_into_feeds_the_span_table_and_the_histogram() {
+        let r = Registry::new();
+        let h = r.histogram("phase_seconds", "h");
+        {
+            let _root = r.span("root");
+            let _phase = r.span_into("phase", &h);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let stats = r.span_stats();
+        let phase = stat(&stats, "root;phase");
+        assert_eq!((phase.calls, h.count()), (1, 1));
+        assert_eq!(h.sum(), phase.incl_ns as f64 / 1e9, "one clock read feeds both records");
+
+        let g = Registry::gated();
+        let gh = g.histogram("phase_seconds", "h");
+        {
+            let _off = g.span_into("phase", &gh);
+        }
+        assert!(g.span_stats().is_empty());
+        assert_eq!(gh.count(), 0);
     }
 
     #[test]

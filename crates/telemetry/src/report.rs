@@ -62,13 +62,6 @@ impl Stats {
     }
 }
 
-/// Per-phase accumulated wall time.
-#[derive(Debug, Clone, Default)]
-struct PhaseStats {
-    calls: u64,
-    secs: f64,
-}
-
 /// Per-span-path accumulated timings from `span` events.
 #[derive(Debug, Clone, Default)]
 struct SpanAgg {
@@ -102,7 +95,6 @@ pub struct Summary {
     delay: Stats,
     best_area: Option<f64>,
     best_reward: Option<f64>,
-    phases: BTreeMap<String, PhaseStats>,
     cache_hits: u64,
     cache_misses: u64,
     nn_flops: f64,
@@ -137,9 +129,10 @@ impl Summary {
     ///
     /// Conventions (matching what the instrumented training loops
     /// emit): `episode` events carry `reward`/`area_um2`/`delay_ns`
-    /// and a `method` tag; `phase` events carry `name` and `secs`;
-    /// `cache` events carry cumulative `hits`/`misses`; `nn` events
-    /// carry `flops`; `checkpoint` and `run_end` events are counted.
+    /// and a `method` tag; `span` events carry a span `path` with its
+    /// `calls`, `incl_secs` and `excl_secs`; `cache` events carry
+    /// cumulative `hits`/`misses`; `nn` events carry `flops`;
+    /// `checkpoint` and `run_end` events are counted.
     /// Unknown kinds only contribute to the per-kind tally.
     pub fn observe(&mut self, event: &Event) {
         self.events += 1;
@@ -164,12 +157,6 @@ impl Summary {
                 if let Some(d) = event.get_f64("delay_ns") {
                     self.delay.push(d);
                 }
-            }
-            "phase" => {
-                let name = event.get_str("name").unwrap_or("?").to_owned();
-                let p = self.phases.entry(name).or_default();
-                p.calls += 1;
-                p.secs += event.get_f64("secs").unwrap_or(0.0).max(0.0);
             }
             "cache" => {
                 // Cumulative counters: keep the latest snapshot.
@@ -289,18 +276,19 @@ impl Summary {
                 out.push_str(&format!("  best reward: {r:.4}\n"));
             }
         }
-        if !self.phases.is_empty() {
-            let total: f64 = self.phases.values().map(|p| p.secs).sum();
+        let phases = self.phases();
+        if !phases.is_empty() {
+            let total: f64 = phases.values().map(|&(_, secs)| secs).sum();
             out.push_str("\nphase timings\n");
             out.push_str(&format!(
                 "  {:<12} {:>10} {:>12} {:>8}\n",
                 "phase", "calls", "secs", "share"
             ));
-            for (name, p) in &self.phases {
-                let share = if total > 0.0 { 100.0 * p.secs / total } else { 0.0 };
+            for (name, (calls, secs)) in &phases {
+                let share = if total > 0.0 { 100.0 * secs / total } else { 0.0 };
                 out.push_str(&format!(
                     "  {:<12} {:>10} {:>12.3} {:>7.1}%\n",
-                    name, p.calls, p.secs, share
+                    name, calls, secs, share
                 ));
             }
         }
@@ -328,16 +316,31 @@ impl Summary {
         out
     }
 
+    /// Evaluation-pipeline phases: `(calls, inclusive secs)` per leaf
+    /// span under `env.evaluate`, summed over every root it ran
+    /// beneath.
+    fn phases(&self) -> BTreeMap<&str, (u64, f64)> {
+        let mut phases: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
+        for (path, s) in &self.spans {
+            let Some((parent, leaf)) = path.rsplit_once(';') else { continue };
+            if parent.rsplit(';').next() == Some("env.evaluate") {
+                let p = phases.entry(leaf).or_default();
+                p.0 += s.calls;
+                p.1 += s.incl_secs;
+            }
+        }
+        phases
+    }
+
     /// Renders the per-span-path time breakdown (`rlmul report
     /// --phase`): one row per span path from the run's `span` events,
     /// sorted by exclusive time descending, with the share of total
     /// exclusive time. Falls back to an explanatory line when the log
-    /// carries no span events (runs predating the observability
-    /// layer).
+    /// carries no span events.
     pub fn render_phase_breakdown(&self) -> String {
         if self.spans.is_empty() {
-            return "no span events in this log (re-run with telemetry enabled on an \
-                    instrumented build)\n"
+            return "no span events in this log (a run writes them when it finishes, so \
+                    killed runs and logs from older builds have none)\n"
                 .to_owned();
         }
         let total_excl: f64 = self.spans.values().map(|s| s.excl_secs).sum();
@@ -367,7 +370,7 @@ impl Summary {
 mod tests {
     use super::*;
 
-    fn sample_log() -> String {
+    fn span_free_lines() -> Vec<String> {
         let mut lines = Vec::new();
         for i in 0..4u64 {
             lines.push(
@@ -380,13 +383,28 @@ mod tests {
                     .to_json(),
             );
         }
-        lines.push(Event::new("phase").with("name", "synth").with("secs", 2.0).to_json());
-        lines.push(Event::new("phase").with("name", "synth").with("secs", 1.0).to_json());
-        lines.push(Event::new("phase").with("name", "sta").with("secs", 1.0).to_json());
         lines.push(Event::new("cache").with("hits", 30u64).with("misses", 10u64).to_json());
         lines.push(Event::new("nn").with("flops", 1.0e6).to_json());
         lines.push(Event::new("checkpoint").with("path", "latest.ckpt").to_json());
         lines.push("not json at all".to_owned());
+        lines
+    }
+
+    fn span(path: &str, calls: u64, incl_secs: f64) -> String {
+        Event::new("span")
+            .with("path", path)
+            .with("calls", calls)
+            .with("incl_secs", incl_secs)
+            .with("excl_secs", incl_secs)
+            .to_json()
+    }
+
+    fn sample_log() -> String {
+        let mut lines = span_free_lines();
+        lines.push(span("train.sa;env.evaluate;synth", 2, 2.0));
+        lines.push(span("train.dqn;env.step;env.evaluate;synth", 1, 1.0));
+        lines.push(span("train.dqn;env.step;env.evaluate;lint", 1, 1.0));
+        lines.push(span("train.dqn;env.step", 3, 4.0));
         lines.join("\n")
     }
 
@@ -401,16 +419,18 @@ mod tests {
         assert_eq!(s.best_area(), Some(97.0));
         assert_eq!(s.cache_hit_rate(), Some(0.75));
         assert_eq!(s.checkpoints, 1);
-        let p = &s.phases["synth"];
-        assert_eq!(p.calls, 2);
-        assert!((p.secs - 3.0).abs() < 1e-12);
+        // Phases are the `env.evaluate` leaves, merged across roots.
+        let phases = s.phases();
+        assert_eq!(phases.keys().copied().collect::<Vec<_>>(), ["lint", "synth"]);
+        assert_eq!(phases["synth"].0, 3);
+        assert!((phases["synth"].1 - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn render_mentions_every_section() {
         let text = Summary::from_jsonl(&sample_log()).render();
         for needle in [
-            "events: 10",
+            "events: 11",
             "episodes",
             "reward",
             "phase timings",
@@ -472,8 +492,9 @@ mod tests {
 
     #[test]
     fn phase_breakdown_explains_span_free_logs() {
-        let s = Summary::from_jsonl(&sample_log());
+        let s = Summary::from_jsonl(&span_free_lines().join("\n"));
         assert!(s.render_phase_breakdown().contains("no span events"));
+        assert!(!s.render().contains("phase timings"));
     }
 
     #[test]

@@ -148,8 +148,8 @@ TRAIN OPTIONS
   --resume [PATH]   continue from PATH, or from `latest.ckpt` in
                     --ckpt-dir when no PATH is given; the resumed run
                     replays the uninterrupted trajectory bit-for-bit
-  --telemetry PATH  stream per-episode/per-phase JSONL events to PATH
-                    (summarize later with `rlmul report PATH`)
+  --telemetry PATH  stream per-episode events and span timings as JSONL
+                    to PATH (summarize later with `rlmul report PATH`)
   --metrics-addr A  serve live Prometheus metrics on A while training
                     (e.g. 127.0.0.1:9090; scrape GET /metrics)
   --surrogate on|off
@@ -348,6 +348,9 @@ fn cmd_train(opts: &HashMap<String, String>) -> CliResult {
         Some(path) if !path.is_empty() => {
             let (writer, sink) = TelemetryWriter::create(path)?;
             hooks.telemetry = sink;
+            // Phase timings reach the log as `span` events, which
+            // only a recording registry produces.
+            rlmul::obs::global().enable();
             Some((writer, path.clone()))
         }
         _ => None,
@@ -687,16 +690,6 @@ fn replay_event(reg: &rlmul::obs::Registry, e: &Event) {
             }
             if let Some(d) = e.get_f64("delay_ns") {
                 reg.gauge("rlmul_replay_delay_ns", "Latest episode delay from the log.").set(d);
-            }
-        }
-        "phase" => {
-            if let (Some(name), Some(secs)) = (e.get_str("name"), e.get_f64("secs")) {
-                reg.labeled_histogram(
-                    "rlmul_replay_phase_seconds",
-                    "Per-phase wall time from the log.",
-                    &[("phase", name)],
-                )
-                .observe(secs);
             }
         }
         "cache" => {
