@@ -25,7 +25,7 @@ use crate::map::{x1_cell_of, MappedNetlist, NetConn};
 use crate::power::estimate;
 use crate::size::{size_to_target_seeded, size_to_targets_seeded};
 use crate::sta::{critical_path_from, worst_endpoint, IncrementalSta, StaStats, TimingReport};
-use crate::synth::{SynthesisOptions, SynthesisReport, Synthesizer};
+use crate::synth::{SynthObs, SynthesisOptions, SynthesisReport, Synthesizer};
 use crate::SynthError;
 use rlmul_rtl::{GateKind, NetId, Netlist};
 
@@ -64,6 +64,7 @@ pub struct IncrementalSynthesis {
     synthesizer: Synthesizer,
     prev: Option<PrevState>,
     last_mode: Option<SynthMode>,
+    obs: SynthObs,
 }
 
 /// Longest shared gate prefix of two netlists.
@@ -72,9 +73,11 @@ fn shared_gate_prefix(a: &Netlist, b: &Netlist) -> usize {
 }
 
 impl IncrementalSynthesis {
-    /// A session around `synthesizer`.
+    /// A session around `synthesizer`, with its metric handles
+    /// registered once in the global registry.
     pub fn new(synthesizer: Synthesizer) -> Self {
-        IncrementalSynthesis { synthesizer, prev: None, last_mode: None }
+        let obs = SynthObs::new(rlmul_obs::global());
+        IncrementalSynthesis { synthesizer, prev: None, last_mode: None, obs }
     }
 
     /// Session with the NanGate45-flavoured default library.
@@ -137,9 +140,7 @@ impl IncrementalSynthesis {
             return Err(SynthError::EmptyNetlist);
         }
         let obs = rlmul_obs::global();
-        let _span = obs.span("synth.inc_run");
-        // check: allow(wall-clock) duration feeds the obs histogram only
-        let started = std::time::Instant::now();
+        let _span = obs.span_into("synth.inc_run", &self.obs.seconds);
 
         let (conn, baseline, dffs, cell_of, mode) = self.prepare_state(netlist);
         let library = self.synthesizer.library();
@@ -209,7 +210,7 @@ impl IncrementalSynthesis {
         // PPA as a from-scratch run, bit for bit (work counters aside).
         #[cfg(debug_assertions)]
         for (r, o) in reports.iter().zip(options) {
-            let full = self.synthesizer.run(netlist, o).expect("full-run oracle failed");
+            let full = self.synthesizer.synthesize(netlist, o);
             debug_assert!(
                 r.area_um2 == full.area_um2
                     && r.delay_ns == full.delay_ns
@@ -226,25 +227,11 @@ impl IncrementalSynthesis {
             );
         }
 
-        if obs.is_enabled() {
-            obs.counter("rlmul_synth_inc_sessions_total", "Incremental synthesis session runs.")
-                .inc();
-            let label = match mode {
-                SynthMode::Full => "full",
-                SynthMode::Patched => "patched",
-            };
-            obs.labeled_counter(
-                "rlmul_synth_inc_mode_total",
-                "Incremental synthesis state preparation mode.",
-                &[("mode", label)],
-            )
-            .inc();
-            obs.histogram(
-                "rlmul_synth_inc_run_seconds",
-                "Wall time per incremental synthesis session run.",
-            )
-            .observe_duration(started.elapsed());
+        let mut sta = StaStats::default();
+        for r in &reports {
+            sta.merge(r.sta);
         }
+        self.obs.record(reports.len(), sta);
 
         self.prev = Some(PrevState { netlist: netlist.clone(), conn, baseline, dffs, cell_of });
         self.last_mode = Some(mode);
@@ -434,6 +421,23 @@ mod tests {
         session.reset();
         session.run_multi(&nl, &[1.0]).unwrap();
         assert_eq!(session.last_mode(), Some(SynthMode::Full));
+    }
+
+    #[test]
+    fn session_records_the_synthesis_families() {
+        // The session is the only synthesis a release-built env runs,
+        // so it must feed the same families as `Synthesizer::run`.
+        // Other tests share the global registry, hence `>=`.
+        let obs = rlmul_obs::global();
+        obs.enable();
+        let runs = obs.counter("rlmul_synth_runs_total", "");
+        let seconds = obs.histogram("rlmul_synth_run_seconds", "");
+        let (runs_before, calls_before) = (runs.get(), seconds.count());
+        let tree = CompressorTree::wallace(4, PpgKind::And).unwrap();
+        let nl = MultiplierNetlist::elaborate(&tree).unwrap().into_netlist();
+        IncrementalSynthesis::nangate45().run_multi(&nl, &[0.8, 1.0]).unwrap();
+        assert!(runs.get() >= runs_before + 2);
+        assert!(seconds.count() > calls_before);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::power::estimate;
 use crate::size::size_to_target;
 use crate::sta::{analyze, StaStats};
 use crate::SynthError;
+use rlmul_obs::{Counter, Histo, Registry};
 use rlmul_rtl::Netlist;
 
 /// Options for one synthesis run.
@@ -62,6 +63,56 @@ impl SynthesisReport {
     }
 }
 
+/// The synthesis and STA metric families. [`Synthesizer::run`] and
+/// [`crate::IncrementalSynthesis::run_many`] both record into them.
+#[derive(Debug, Clone)]
+pub(crate) struct SynthObs {
+    /// Wall time per engine call, fed by the call's span.
+    pub(crate) seconds: Histo,
+    runs: Counter,
+    /// `[full, incremental]` children of the STA families.
+    visits: [Counter; 2],
+    passes: [Counter; 2],
+}
+
+impl SynthObs {
+    pub(crate) fn new(obs: &Registry) -> Self {
+        let visits = |mode| {
+            obs.labeled_counter(
+                "rlmul_sta_gate_visits_total",
+                "Gate evaluations performed by timing analysis.",
+                &[("mode", mode)],
+            )
+        };
+        let passes = |mode| {
+            obs.labeled_counter(
+                "rlmul_sta_passes_total",
+                "Timing-analysis propagation passes.",
+                &[("mode", mode)],
+            )
+        };
+        SynthObs {
+            seconds: obs.histogram(
+                "rlmul_synth_run_seconds",
+                "Wall time per synthesizer call (one run, or one incremental session).",
+            ),
+            runs: obs.counter("rlmul_synth_runs_total", "Synthesis runs completed."),
+            visits: [visits("full"), visits("incremental")],
+            passes: [passes("full"), passes("incremental")],
+        }
+    }
+
+    /// Counts `runs` completed runs that together did `sta`'s timing
+    /// work.
+    pub(crate) fn record(&self, runs: usize, sta: StaStats) {
+        self.runs.add(runs as u64);
+        self.visits[0].add(sta.full_gate_visits as u64);
+        self.visits[1].add(sta.incremental_gate_visits as u64);
+        self.passes[0].add(sta.full_passes as u64);
+        self.passes[1].add(sta.incremental_passes as u64);
+    }
+}
+
 /// A reusable synthesis engine bound to one library.
 ///
 /// ```
@@ -113,9 +164,28 @@ impl Synthesizer {
             return Err(SynthError::EmptyNetlist);
         }
         let obs = rlmul_obs::global();
-        let _span = obs.span("synth.run");
-        // check: allow(wall-clock) duration feeds the obs histogram only
-        let started = std::time::Instant::now();
+        // Gated off, nothing registers and the span stays inert.
+        let metrics = obs.is_enabled().then(|| SynthObs::new(obs));
+        let report = {
+            let _span = match &metrics {
+                Some(m) => obs.span_into("synth.run", &m.seconds),
+                None => obs.span("synth.run"),
+            };
+            self.synthesize(netlist, options)
+        };
+        if let Some(m) = &metrics {
+            m.record(1, report.sta);
+        }
+        Ok(report)
+    }
+
+    /// [`Synthesizer::run`] on a non-empty netlist, without recording
+    /// metrics or spans (the incremental session's oracle).
+    pub(crate) fn synthesize(
+        &self,
+        netlist: &Netlist,
+        options: &SynthesisOptions,
+    ) -> SynthesisReport {
         let mut mapped = MappedNetlist::map(netlist, &self.library);
         let (timing, moves, met, sta) = match options.target_delay_ns {
             Some(target) => {
@@ -135,22 +205,7 @@ impl Synthesizer {
         };
         let delay = timing.worst_delay_ns.max(1e-6);
         let power = estimate(&mapped, 1.0 / delay);
-        if obs.is_enabled() {
-            obs.counter("rlmul_synth_runs_total", "Synthesis runs completed.").inc();
-            obs.histogram("rlmul_synth_run_seconds", "Wall time per synthesis run.")
-                .observe_duration(started.elapsed());
-            let visits = "Gate evaluations performed by timing analysis.";
-            obs.labeled_counter("rlmul_sta_gate_visits_total", visits, &[("mode", "full")])
-                .add(sta.full_gate_visits as u64);
-            obs.labeled_counter("rlmul_sta_gate_visits_total", visits, &[("mode", "incremental")])
-                .add(sta.incremental_gate_visits as u64);
-            let passes = "Timing-analysis propagation passes.";
-            obs.labeled_counter("rlmul_sta_passes_total", passes, &[("mode", "full")])
-                .add(sta.full_passes as u64);
-            obs.labeled_counter("rlmul_sta_passes_total", passes, &[("mode", "incremental")])
-                .add(sta.incremental_passes as u64);
-        }
-        Ok(SynthesisReport {
+        SynthesisReport {
             area_um2: mapped.area_um2(),
             delay_ns: timing.worst_delay_ns,
             power_mw: power.total_mw(),
@@ -160,7 +215,7 @@ impl Synthesizer {
             sizing_moves: moves,
             num_cells: netlist.gates().len(),
             sta,
-        })
+        }
     }
 
     /// Synthesizes once per target delay — the paper's "synthesis
