@@ -12,10 +12,10 @@
 
 use rlmul_bench::report::results_dir;
 use rlmul_ct::{CompressorTree, PpgKind};
+use rlmul_obs::json::{JsonBuilder, JsonObject};
 use rlmul_rtl::{lint, lint_delta, IncrementalMultiplier, MultiplierNetlist};
 use rlmul_synth::{IncrementalSynthesis, SynthesisOptions, SynthesisReport, Synthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -41,23 +41,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-struct Json(String);
-
-impl Json {
-    fn new() -> Self {
-        Json(String::from("{\n"))
-    }
-    fn field(&mut self, key: &str, value: f64) {
-        writeln!(self.0, "  \"{key}\": {value:.6},").expect("write to string");
-    }
-    fn finish(mut self) -> String {
-        let cut = self.0.trim_end().trim_end_matches(',').len();
-        self.0.truncate(cut);
-        self.0.push_str("\n}\n");
-        self.0
-    }
-}
 
 /// A deterministic walk of `steps` legal actions from `tree`.
 fn walk(tree: &CompressorTree, steps: usize) -> Vec<CompressorTree> {
@@ -182,7 +165,7 @@ fn assert_bit_identical(full: &ModeCost, inc: &ModeCost, bits: usize) {
     }
 }
 
-fn bench_width(bits: usize, steps: usize, json: &mut Json) -> f64 {
+fn bench_width(bits: usize, steps: usize, json: &mut JsonObject) -> f64 {
     let tree = CompressorTree::wallace(bits, PpgKind::And).expect("legal");
     let states = walk(&tree, steps);
     assert!(!states.is_empty(), "no legal actions at {bits} bits");
@@ -215,13 +198,13 @@ fn bench_width(bits: usize, steps: usize, json: &mut Json) -> f64 {
         inc.allocs_per_step,
         1.0 / inc.secs_per_step
     );
-    json.field(&format!("full_step_ms_{bits}"), full.secs_per_step * 1e3);
-    json.field(&format!("inc_step_ms_{bits}"), inc.secs_per_step * 1e3);
-    json.field(&format!("full_steps_per_sec_{bits}"), 1.0 / full.secs_per_step);
-    json.field(&format!("inc_steps_per_sec_{bits}"), 1.0 / inc.secs_per_step);
-    json.field(&format!("full_allocs_per_step_{bits}"), full.allocs_per_step);
-    json.field(&format!("inc_allocs_per_step_{bits}"), inc.allocs_per_step);
-    json.field(&format!("speedup_{bits}"), speedup);
+    json.push(&format!("full_step_ms_{bits}"), full.secs_per_step * 1e3);
+    json.push(&format!("inc_step_ms_{bits}"), inc.secs_per_step * 1e3);
+    json.push(&format!("full_steps_per_sec_{bits}"), 1.0 / full.secs_per_step);
+    json.push(&format!("inc_steps_per_sec_{bits}"), 1.0 / inc.secs_per_step);
+    json.push(&format!("full_allocs_per_step_{bits}"), full.allocs_per_step);
+    json.push(&format!("inc_allocs_per_step_{bits}"), inc.allocs_per_step);
+    json.push(&format!("speedup_{bits}"), speedup);
     print!("{}", rlmul_obs::render_span_tree(&inc_spans));
     speedup
 }
@@ -245,10 +228,10 @@ fn main() {
     // Retry up to three times in gate mode: noise passes on a later
     // attempt, a real regression fails all three.
     let attempts = if ci_gate && !cfg!(debug_assertions) { 3 } else { 1 };
-    let mut json = Json::new();
+    let mut json = JsonObject::default();
     let mut speedup_16 = f64::NAN;
     for attempt in 0..attempts {
-        json = Json::new();
+        json = JsonObject::default();
         speedup_16 = f64::NAN;
         for &(bits, steps) in widths {
             let s = bench_width(bits, steps, &mut json);
@@ -279,7 +262,8 @@ fn main() {
     std::fs::write(&flame_path, rlmul_obs::collapsed_from(&stats)).expect("write flame stacks");
 
     let path = results_dir().join("BENCH_netlist.json");
-    std::fs::write(&path, json.finish()).expect("write BENCH_netlist.json");
+    std::fs::write(&path, json.render_into(JsonBuilder::new()).build())
+        .expect("write BENCH_netlist.json");
     println!("wrote {} and {}", path.display(), flame_path.display());
 
     if ci_gate && !cfg!(debug_assertions) {

@@ -14,7 +14,7 @@ use rlmul_core::{
 };
 use rlmul_ct::PpgKind;
 use rlmul_nn::{gemm, reference, Conv2d, Layer, Tensor, TrunkConfig};
-use std::fmt::Write as _;
+use rlmul_obs::json::{JsonBuilder, JsonObject};
 use std::time::Instant;
 
 /// Median-of-runs seconds per iteration of `f`.
@@ -34,26 +34,8 @@ fn time_per_iter<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     runs[runs.len() / 2]
 }
 
-struct Json(String);
-
-impl Json {
-    fn new() -> Self {
-        Json(String::from("{\n"))
-    }
-    fn field(&mut self, key: &str, value: f64) {
-        writeln!(self.0, "  \"{key}\": {value:.6},").expect("write to string");
-    }
-    fn finish(mut self) -> String {
-        // Drop the trailing comma and close the object.
-        let cut = self.0.trim_end().trim_end_matches(',').len();
-        self.0.truncate(cut);
-        self.0.push_str("\n}\n");
-        self.0
-    }
-}
-
 fn main() {
-    let mut json = Json::new();
+    let mut json = JsonObject::default();
     let mut rng = StdRng::seed_from_u64(42);
 
     // Raw GEMM throughput at a head-sized shape.
@@ -67,7 +49,7 @@ fn main() {
     });
     let gemm_gflops = 2.0 * (m * k * n) as f64 / secs / 1e9;
     println!("gemm_nn {m}x{k}x{n}: {gemm_gflops:.2} GFLOP/s");
-    json.field("gemm_nn_gflops", gemm_gflops);
+    json.push("gemm_nn_gflops", gemm_gflops);
 
     // Conv2d forward+backward at the paper's state-tensor shape
     // [4, 2, 16, 16] (an A2C batch over four workers), optimized GEMM
@@ -107,9 +89,9 @@ fn main() {
         opt_secs * 1e6,
         naive_secs * 1e6
     );
-    json.field("conv_fwd_bwd_paper_shape_us", opt_secs * 1e6);
-    json.field("conv_fwd_bwd_naive_us", naive_secs * 1e6);
-    json.field("conv_fwd_bwd_speedup", speedup);
+    json.push("conv_fwd_bwd_paper_shape_us", opt_secs * 1e6);
+    json.push("conv_fwd_bwd_naive_us", naive_secs * 1e6);
+    json.push("conv_fwd_bwd_speedup", speedup);
 
     // One DQN update at the default 16-bit shape, phase by phase:
     // training forward, bootstrap (evaluation) forward, backward.
@@ -136,13 +118,14 @@ fn main() {
 
     let path = results_dir().join("BENCH_nn.json");
     std::fs::create_dir_all(results_dir()).expect("results dir");
-    std::fs::write(&path, json.finish()).expect("write BENCH_nn.json");
+    std::fs::write(&path, json.render_into(JsonBuilder::new()).build())
+        .expect("write BENCH_nn.json");
     println!("wrote {}", path.display());
 }
 
 /// Times the three network phases of a DQN update on batches of real
 /// 16-bit states collected by a short random walk.
-fn update_phases(json: &mut Json, cfg: &DqnConfig, rng: &mut StdRng) {
+fn update_phases(json: &mut JsonObject, cfg: &DqnConfig, rng: &mut StdRng) {
     let mut env = MulEnv::new(EnvConfig::new(16, PpgKind::And)).expect("env builds");
     let shape = env.tensor_shape();
     let actions = env.action_space();
@@ -180,18 +163,18 @@ fn update_phases(json: &mut Json, cfg: &DqnConfig, rng: &mut StdRng) {
         boot_fwd * 1e6,
         backward * 1e6
     );
-    json.field("dqn16_train_fwd_us", train_fwd * 1e6);
-    json.field("dqn16_boot_fwd_us", boot_fwd * 1e6);
-    json.field("dqn16_bwd_us", backward * 1e6);
+    json.push("dqn16_train_fwd_us", train_fwd * 1e6);
+    json.push("dqn16_boot_fwd_us", boot_fwd * 1e6);
+    json.push("dqn16_bwd_us", backward * 1e6);
 }
 
-fn report_agent(label: &str, json: &mut Json, nn: NnStats, steps: usize, wall: f64) {
+fn report_agent(label: &str, json: &mut JsonObject, nn: NnStats, steps: usize, wall: f64) {
     let per_step_ms = nn.nanos as f64 / 1e6 / steps as f64;
     println!(
         "{label}: {} over {steps} env steps ({per_step_ms:.2} nn ms/step, {wall:.2} s total)",
         nn.render()
     );
-    json.field(&format!("{label}_nn_gflops"), nn.gflops_per_sec());
-    json.field(&format!("{label}_nn_ms_per_step"), per_step_ms);
-    json.field(&format!("{label}_wall_s"), wall);
+    json.push(&format!("{label}_nn_gflops"), nn.gflops_per_sec());
+    json.push(&format!("{label}_nn_ms_per_step"), per_step_ms);
+    json.push(&format!("{label}_wall_s"), wall);
 }

@@ -19,25 +19,8 @@ use rlmul_bench::report::results_dir;
 use rlmul_bench::runner::{front_and_hv, reference_point};
 use rlmul_core::{run_sa, EnvConfig, OptimizationOutcome};
 use rlmul_ct::PpgKind;
+use rlmul_obs::json::{JsonBuilder, JsonObject};
 use rlmul_pareto::Point2;
-use std::fmt::Write as _;
-
-struct Json(String);
-
-impl Json {
-    fn new() -> Self {
-        Json(String::from("{\n"))
-    }
-    fn field(&mut self, key: &str, value: f64) {
-        writeln!(self.0, "  \"{key}\": {value:.6},").expect("write to string");
-    }
-    fn finish(mut self) -> String {
-        let cut = self.0.trim_end().trim_end_matches(',').len();
-        self.0.truncate(cut);
-        self.0.push_str("\n}\n");
-        self.0
-    }
-}
 
 struct RunResult {
     synthesis_calls: usize,
@@ -118,7 +101,7 @@ fn bench_width(
     seed: u64,
     repeats: usize,
     knobs: Knobs,
-    json: &mut Json,
+    json: &mut JsonObject,
 ) -> (f64, f64, f64) {
     let (mut calls_off, mut calls_on) = (0usize, 0usize);
     let (mut screened, mut forced) = (0usize, 0usize);
@@ -179,17 +162,17 @@ fn bench_width(
          | pooled hv {hv_off:9.1} -> {hv_on:9.1} | best cost {best_off:.4} -> {best_on:.4}",
         if all_matched { "" } else { "+" },
     );
-    json.field(&format!("synth_calls_off_{bits}"), calls_off as f64);
-    json.field(&format!("synth_calls_on_{bits}"), calls_on as f64);
-    json.field(&format!("surrogate_screened_{bits}"), screened as f64);
-    json.field(&format!("surrogate_forced_{bits}"), forced as f64);
-    json.field(&format!("call_reduction_{bits}"), ratio);
-    json.field(&format!("iso_call_reduction_{bits}"), iso_ratio);
-    json.field(&format!("iso_matched_{bits}"), if all_matched { 1.0 } else { 0.0 });
-    json.field(&format!("hypervolume_off_{bits}"), hv_off);
-    json.field(&format!("hypervolume_on_{bits}"), hv_on);
-    json.field(&format!("best_cost_off_{bits}"), best_off);
-    json.field(&format!("best_cost_on_{bits}"), best_on);
+    json.push(&format!("synth_calls_off_{bits}"), calls_off as f64);
+    json.push(&format!("synth_calls_on_{bits}"), calls_on as f64);
+    json.push(&format!("surrogate_screened_{bits}"), screened as f64);
+    json.push(&format!("surrogate_forced_{bits}"), forced as f64);
+    json.push(&format!("call_reduction_{bits}"), ratio);
+    json.push(&format!("iso_call_reduction_{bits}"), iso_ratio);
+    json.push(&format!("iso_matched_{bits}"), if all_matched { 1.0 } else { 0.0 });
+    json.push(&format!("hypervolume_off_{bits}"), hv_off);
+    json.push(&format!("hypervolume_on_{bits}"), hv_on);
+    json.push(&format!("best_cost_off_{bits}"), best_off);
+    json.push(&format!("best_cost_on_{bits}"), best_on);
     (iso_ratio, hv_off, hv_on)
 }
 
@@ -215,7 +198,7 @@ fn main() {
         &[(8, args.get("steps", 160)), (16, args.get("steps", 160))]
     };
 
-    let mut json = Json::new();
+    let mut json = JsonObject::default();
     let mut gate_ok = true;
     for &(bits, steps) in widths {
         let on_steps = args.get("on-steps", steps);
@@ -229,7 +212,8 @@ fn main() {
 
     std::fs::create_dir_all(results_dir()).expect("results dir");
     let path = results_dir().join("BENCH_surrogate.json");
-    std::fs::write(&path, json.finish()).expect("write BENCH_surrogate.json");
+    std::fs::write(&path, json.render_into(JsonBuilder::new()).build())
+        .expect("write BENCH_surrogate.json");
     println!("wrote {}", path.display());
 
     if ci_gate {

@@ -22,6 +22,7 @@
 
 use rlmul_bench::args::Args;
 use rlmul_bench::report::results_dir;
+use rlmul_obs::json::JsonBuilder;
 use rlmul_obs::{TraceCtx, TraceEvent};
 use rlmul_serve::render_event;
 use std::hint::black_box;
@@ -133,13 +134,18 @@ fn main() -> std::process::ExitCode {
     );
 
     let ratio = disabled_emit / baseline.max(0.1);
-    let body = format!(
-        "{{\"bench\":\"trace\",\"rounds\":{rounds},\"iters\":{iters},\
-         \"baseline_ns\":{baseline:.3},\"disabled_emit_ns\":{disabled_emit:.3},\
-         \"enabled_emit_ns\":{enabled_emit:.3},\"dropping_emit_ns\":{dropping_emit:.3},\
-         \"render_event_ns\":{render:.3},\"disabled_ratio\":{ratio:.3},\
-         \"gate_bound\":2.0}}"
-    );
+    let body = JsonBuilder::new()
+        .str("bench", "trace")
+        .u64("rounds", rounds as u64)
+        .u64("iters", iters)
+        .f64("baseline_ns", baseline)
+        .f64("disabled_emit_ns", disabled_emit)
+        .f64("enabled_emit_ns", enabled_emit)
+        .f64("dropping_emit_ns", dropping_emit)
+        .f64("render_event_ns", render)
+        .f64("disabled_ratio", ratio)
+        .f64("gate_bound", 2.0)
+        .build();
     println!("{body}");
     if let Err(e) = std::fs::create_dir_all(results_dir()) {
         eprintln!("bench_trace: cannot create results dir: {e}");

@@ -28,6 +28,9 @@
 //!   timeline; disabled by default with the same one-branch
 //!   discipline as the registry. The `rlmul serve` daemon mints one
 //!   per job and streams it live over `GET /jobs/<id>/events`.
+//! * [`json`] — the workspace's one JSON codec (value type, ordered
+//!   object, builder, error-returning parser), shared by the
+//!   telemetry JSONL log, the job server's bodies and trace rendering.
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@
 
 mod flame;
 mod http;
+pub mod json;
 mod prom;
 mod registry;
 mod span;

@@ -161,49 +161,60 @@ impl JobSpec {
     /// Upper bound on requested steps.
     pub const MAX_STEPS: usize = 1_000_000;
 
-    /// Builds a spec from a parsed submission body, applying defaults
-    /// and validating every field.
+    /// Builds a spec from a parsed submission body. Absent fields take
+    /// their defaults; a present field must have the right type and
+    /// range.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the offending field, suitable
     /// for a 400 response.
     pub fn from_json(o: &JsonObject) -> Result<Self, String> {
-        let bits = o.get_u64("bits").unwrap_or(8) as usize;
-        if !(2..=Self::MAX_BITS).contains(&bits) {
+        let int = |key: &str, default: u64| match o.get(key) {
+            None => Ok(default),
+            Some(v) => v.as_u64().ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        };
+        let text = |key: &str, default: &'static str| match o.get(key) {
+            None => Ok(default),
+            Some(v) => v.as_str().ok_or_else(|| format!("`{key}` must be a string")),
+        };
+        let bits = int("bits", 8)?;
+        if !(2..=Self::MAX_BITS as u64).contains(&bits) {
             return Err(format!("`bits` must be in 2..={} (got {bits})", Self::MAX_BITS));
         }
-        let kind_str = o.get_str("kind").unwrap_or("and");
+        let kind_str = text("kind", "and")?;
         let Some(kind) = kind_parse(kind_str) else {
             return Err(format!("unknown `kind` `{kind_str}` (and|mbe|mac-and|mac-mbe)"));
         };
-        let method_str = o.get_str("method").unwrap_or("sa");
+        let method_str = text("method", "sa")?;
         let Some(method) = Method::parse(method_str) else {
             return Err(format!("unknown `method` `{method_str}` (sa|dqn|a2c)"));
         };
-        let steps = o.get_u64("steps").unwrap_or(40) as usize;
-        if !(1..=Self::MAX_STEPS).contains(&steps) {
+        let steps = int("steps", 40)?;
+        if !(1..=Self::MAX_STEPS as u64).contains(&steps) {
             return Err(format!("`steps` must be in 1..={} (got {steps})", Self::MAX_STEPS));
         }
-        let pref_str = o.get_str("pref").unwrap_or("tradeoff");
+        let pref_str = text("pref", "tradeoff")?;
         let Some(pref) = Pref::parse(pref_str) else {
             return Err(format!("unknown `pref` `{pref_str}` (area|timing|tradeoff)"));
         };
-        let priority = match o.get_u64("priority").unwrap_or(0) {
+        let priority = match int("priority", 0)? {
             p @ 0..=255 => p as u8,
             p => return Err(format!("`priority` must be in 0..=255 (got {p})")),
         };
+        let ckpt_every = usize::try_from(int("ckpt_every", 10)?)
+            .map_err(|_| "`ckpt_every` is out of range".to_string())?;
         Ok(JobSpec {
-            bits,
+            bits: bits as usize,
             kind,
             method,
-            steps,
-            seed: o.get_u64("seed").unwrap_or(1),
+            steps: steps as usize,
+            seed: int("seed", 1)?,
             pref,
             priority,
-            tenant: o.get_str("tenant").unwrap_or("default").to_owned(),
-            idempotency_key: o.get_str("idempotency_key").unwrap_or("").to_owned(),
-            ckpt_every: o.get_u64("ckpt_every").unwrap_or(10) as usize,
+            tenant: text("tenant", "default")?.to_owned(),
+            idempotency_key: text("idempotency_key", "")?.to_owned(),
+            ckpt_every,
         })
     }
 
@@ -502,10 +513,27 @@ mod tests {
             br#"{"kind":"nand"}"#.as_slice(),
             br#"{"pref":"speed"}"#.as_slice(),
             br#"{"priority":900}"#.as_slice(),
+            br#"{"bits":"16"}"#.as_slice(),
+            br#"{"bits":16.5}"#.as_slice(),
+            br#"{"bits":1e300}"#.as_slice(),
+            br#"{"steps":-5}"#.as_slice(),
+            br#"{"method":3}"#.as_slice(),
         ] {
             let o = parse_object(bad).unwrap();
             assert!(JobSpec::from_json(&o).is_err(), "{:?}", String::from_utf8_lossy(bad));
         }
+        let err = JobSpec::from_json(&parse_object(br#"{"steps":-5}"#).unwrap()).unwrap_err();
+        assert!(err.contains("`steps`"), "{err}");
+    }
+
+    #[test]
+    fn large_seeds_survive_exactly() {
+        let o = parse_object(br#"{"seed":9007199254740993}"#).unwrap();
+        let s = JobSpec::from_json(&o).unwrap();
+        assert_eq!(s.seed, 9_007_199_254_740_993);
+        let body = s.render_into(JsonBuilder::new()).build();
+        assert!(body.contains(r#""seed":9007199254740993"#), "{body}");
+        assert_eq!(parse_object(body.as_bytes()).unwrap().get_u64("seed"), Some(s.seed));
     }
 
     #[test]

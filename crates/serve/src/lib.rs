@@ -27,7 +27,8 @@
 //! * [`server`] — the daemon: recovery, worker pool, HTTP front end;
 //! * [`api`] — the HTTP route table (documented route-by-route in
 //!   DESIGN.md §16);
-//! * [`json`] — the dependency-free flat JSON codec the API speaks;
+//! * [`json`] — the JSON codec the API speaks: a re-export of the
+//!   workspace's one codec, [`rlmul_obs::json`];
 //! * [`trace`] — durable per-job traces: the persisted record and the
 //!   rendering shared by `GET /jobs/:id/trace` and the live
 //!   `GET /jobs/:id/events` stream;
@@ -55,11 +56,12 @@
 
 pub mod api;
 pub mod job;
-pub mod json;
 pub mod loadtest;
 pub mod queue;
 pub mod server;
 pub mod trace;
+
+pub use rlmul_obs::json;
 
 pub use job::{JobRecord, JobResult, JobSpec, JobState, Method, Pref, JOB_RECORD_KIND};
 pub use loadtest::{percentile, run_loadtest, HttpClient, LoadReport, LoadtestConfig};

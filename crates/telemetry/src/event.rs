@@ -1,73 +1,9 @@
-//! The structured event model.
+//! The structured event model and its JSONL line codec.
 
+use crate::Value;
+use rlmul_obs::json::{parse_object, JsonBuilder, JsonObject};
 use std::error::Error;
 use std::fmt;
-
-/// A telemetry field value.
-///
-/// The set is deliberately flat (no nesting): every event is one JSON
-/// object per line, which keeps the writer allocation-light and the
-/// parser trivial.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer (counters, steps, sizes).
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point (rewards, costs, seconds). Non-finite values
-    /// serialize as JSON `null` and parse back as NaN.
-    F64(f64),
-    /// Boolean flag.
-    Bool(bool),
-    /// String tag (method names, kinds, phases).
-    Str(String),
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-impl From<f32> for Value {
-    fn from(v: f32) -> Self {
-        Value::F64(v as f64)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
 
 /// One structured telemetry record: a kind tag plus ordered fields.
 ///
@@ -76,39 +12,25 @@ impl From<String> for Value {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     kind: String,
-    fields: Vec<(String, Value)>,
+    fields: JsonObject,
 }
 
 impl Event {
     /// A new event of the given kind (serialized as the `"ev"` key).
     pub fn new(kind: &str) -> Self {
-        Event { kind: kind.to_owned(), fields: Vec::new() }
-    }
-
-    /// The canonical JSONL mirror of one per-job trace event: a
-    /// `trace` record carrying the job's trace ID, the event's dense
-    /// sequence number, microseconds since the trace started, and the
-    /// kind/detail pair. Field order is fixed so stored traces and
-    /// their JSONL mirrors diff cleanly.
-    pub fn trace(trace_id: &str, seq: u64, micros: u64, kind: &str, detail: &str) -> Self {
-        Event::new("trace")
-            .with("trace_id", trace_id)
-            .with("seq", seq)
-            .with("micros", micros)
-            .with("kind", kind)
-            .with("detail", detail)
+        Event { kind: kind.to_owned(), fields: JsonObject::default() }
     }
 
     /// Builder-style field append.
     #[must_use]
     pub fn with<V: Into<Value>>(mut self, key: &str, value: V) -> Self {
-        self.fields.push((key.to_owned(), value.into()));
+        self.fields.push(key, value);
         self
     }
 
     /// Appends a field in place.
     pub fn push<V: Into<Value>>(&mut self, key: &str, value: V) {
-        self.fields.push((key.to_owned(), value.into()));
+        self.fields.push(key, value);
     }
 
     /// The event kind.
@@ -118,40 +40,60 @@ impl Event {
 
     /// The ordered fields.
     pub fn fields(&self) -> &[(String, Value)] {
-        &self.fields
+        self.fields.fields()
     }
 
-    /// First value stored under `key`, if any.
+    /// The value stored under `key`, if any.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.fields.get(key)
     }
 
     /// Numeric coercion of the value under `key`: any integer or
     /// float field reads as `f64`.
     pub fn get_f64(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Value::U64(v) => Some(*v as f64),
-            Value::I64(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
+        self.fields.get_f64(key)
     }
 
     /// Unsigned coercion of the value under `key`.
     pub fn get_u64(&self, key: &str) -> Option<u64> {
-        match self.get(key)? {
-            Value::U64(v) => Some(*v),
-            Value::I64(v) => u64::try_from(*v).ok(),
-            _ => None,
-        }
+        self.fields.get_u64(key)
     }
 
     /// String field under `key`.
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Value::Str(s) => Some(s),
-            _ => None,
+        self.fields.get_str(key)
+    }
+
+    /// Serializes this event as one JSONL line (no trailing newline):
+    /// `"ev"` first, then every field in insertion order.
+    pub fn to_json(&self) -> String {
+        self.fields.render_into(JsonBuilder::new().str("ev", &self.kind)).build()
+    }
+
+    /// Parses a JSONL line into an event. The `"ev"` key may appear
+    /// anywhere; a `null` value reads back as a NaN float.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::Parse`] for anything that is not a
+    /// flat JSON object with a string `"ev"` key.
+    pub fn parse_json(line: &str) -> Result<Event, TelemetryError> {
+        let error = |what: String| TelemetryError::Parse { what };
+        let mut kind = None;
+        let mut fields = JsonObject::default();
+        for (key, value) in parse_object(line.as_bytes()).map_err(error)?.into_fields() {
+            match (key.as_str(), value) {
+                ("ev", Value::Str(s)) => kind = Some(s),
+                ("ev", other) => {
+                    return Err(error(format!("\"ev\" must be a string, found {other:?}")))
+                }
+                (_, Value::Raw(_)) => return Err(error("nested containers are not events".into())),
+                (_, Value::Null) => fields.push(&key, f64::NAN),
+                (_, value) => fields.push(&key, value),
+            }
         }
+        let kind = kind.ok_or_else(|| error("missing \"ev\" key".into()))?;
+        Ok(Event { kind, fields })
     }
 }
 
@@ -175,3 +117,80 @@ impl fmt::Display for TelemetryError {
 }
 
 impl Error for TelemetryError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_round_trips() {
+        let e = Event::new("episode")
+            .with("step", 17u64)
+            .with("reward", -0.125f64)
+            .with("method", "dqn")
+            .with("hit", true)
+            .with("delta", -3i64);
+        let line = e.to_json();
+        assert!(!line.contains('\n'));
+        let back = Event::parse_json(&line).unwrap();
+        assert_eq!(back, e);
+    }
+
+    #[test]
+    fn escapes_round_trip() {
+        let e = Event::new("note").with("text", "a \"quoted\"\\path\nwith\tcontrol\u{1}");
+        let back = Event::parse_json(&e.to_json()).unwrap();
+        assert_eq!(back, e);
+    }
+
+    #[test]
+    fn integers_and_floats_keep_their_type() {
+        let line = r#"{"ev":"x","a":3,"b":3.5,"c":-2,"d":1e-3}"#;
+        let e = Event::parse_json(line).unwrap();
+        assert_eq!(e.get("a"), Some(&Value::U64(3)));
+        assert_eq!(e.get("b"), Some(&Value::F64(3.5)));
+        assert_eq!(e.get("c"), Some(&Value::I64(-2)));
+        assert_eq!(e.get("d"), Some(&Value::F64(1e-3)));
+    }
+
+    #[test]
+    fn whole_valued_floats_stay_floats() {
+        let e = Event::new("x").with("v", 1.0f64).with("w", -2.0f64);
+        let line = e.to_json();
+        let back = Event::parse_json(&line).unwrap();
+        assert_eq!(back, e, "{line}");
+    }
+
+    #[test]
+    fn non_finite_floats_degrade_to_null() {
+        let e = Event::new("x").with("inf", f64::INFINITY);
+        let line = e.to_json();
+        assert!(line.contains("null"), "{line}");
+        let back = Event::parse_json(&line).unwrap();
+        assert!(back.get_f64("inf").unwrap().is_nan());
+    }
+
+    #[test]
+    fn malformed_lines_are_errors() {
+        for bad in [
+            "",
+            "{",
+            "{}",                        // no "ev"
+            r#"{"ev":1}"#,               // non-string kind
+            r#"{"ev":"x","a":[1,2]}"#,   // nested
+            r#"{"ev":"x","a":{"b":1}}"#, // nested
+            r#"{"ev":"x"} trailing"#,
+            r#"{"ev":"x","a":}"#,
+            r#"{"ev":"x","a":1,"a":2}"#, // duplicate key
+        ] {
+            assert!(Event::parse_json(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn whitespace_is_tolerated() {
+        let e = Event::parse_json(" { \"ev\" : \"x\" , \"n\" : 4 } ").unwrap();
+        assert_eq!(e.kind(), "x");
+        assert_eq!(e.get_u64("n"), Some(4));
+    }
+}

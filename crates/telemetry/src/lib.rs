@@ -6,9 +6,10 @@
 //!
 //! * [`Event`] — a flat, ordered key → [`Value`] record with a kind
 //!   tag and a monotonic sequence number;
-//! * a hand-rolled JSON encoder/parser pair ([`Event::to_json`],
-//!   [`Event::parse_json`]) — one JSON object per line, no external
-//!   dependencies, lossless for the value types used;
+//! * a JSONL line codec ([`Event::to_json`], [`Event::parse_json`])
+//!   built on the workspace's one JSON module, [`rlmul_obs::json`] —
+//!   one flat JSON object per line, lossless for the value types
+//!   used;
 //! * [`TelemetrySink`] — a cheaply cloneable handle the environment,
 //!   agents and drivers emit into. The disabled sink
 //!   ([`TelemetrySink::disabled`]) reduces every emit to a single
@@ -44,10 +45,11 @@
 #![deny(missing_docs)]
 
 mod event;
-mod json;
 mod report;
 mod sink;
 
-pub use event::{Event, TelemetryError, Value};
+pub use event::{Event, TelemetryError};
 pub use report::Summary;
+/// A telemetry field value: the shared JSON value type.
+pub use rlmul_obs::json::JsonValue as Value;
 pub use sink::{TelemetrySink, TelemetryWriter};
